@@ -12,14 +12,16 @@ Package layout
     Distributed-system substrate: protocols as state machines, discrete-event
     simulator, network model with TCP failure semantics, churn.
 ``repro.mc``
-    Model-checking substrate: global states, exhaustive BFS (the MaceMC
-    baseline), random walks.
+    Model-checking substrate: global states, random walks, and the one
+    breadth-first search behind the exhaustive baseline (MaceMC) and
+    consequence prediction.
 ``repro.properties``
     First-class property API: the global registry with namespaced ids,
     severities and tags, safety/cross-node/bounded-liveness combinators,
     and structured violation records.
 ``repro.core``
-    CrystalBall itself: consequence prediction, checkpoint manager and
+    CrystalBall itself: consequence prediction (re-exported from
+    ``repro.mc``), checkpoint manager and
     consistent neighbourhood snapshots, controller, execution steering,
     immediate safety check.
 ``repro.systems``

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from ..backends import backend_names, make_backend
-from ..core.consequence import consequence_prediction
 from ..core.controller import (
     CheckingPolicy,
     CrystalBallConfig,
@@ -41,7 +40,7 @@ from ..faults.base import Fault
 from ..faults.byzantine import MutatingFault
 from ..faults.nemesis import Nemesis
 from ..faults.presets import make_nemesis
-from ..mc.search import SearchBudget, SearchResult
+from ..mc.search import SearchBudget, SearchResult, consequence_prediction
 from ..obs import JsonlTracer, MetricsRegistry, ObsContext, Tracer
 from ..properties import Property, SafetyProperty, resolve_properties
 from ..properties.registry import PropertySelector

@@ -1,7 +1,8 @@
 """CrystalBall core: the paper's primary contribution.
 
-* :func:`~repro.core.consequence.consequence_prediction` — the fast state
-  exploration algorithm of Figure 8;
+* :func:`~repro.mc.search.consequence_prediction` — the fast state
+  exploration algorithm of Figure 8 (the model checker's breadth-first
+  search with the ``localExplored`` test);
 * the checkpoint manager and consistent neighbourhood snapshots
   (Sections 2.3 and 3.1);
 * the per-node :class:`~repro.core.controller.CrystalBallController` with
@@ -9,8 +10,8 @@
   filter-safety re-checks, error-path replay and the immediate safety check.
 """
 
+from ..mc.search import consequence_prediction
 from .checkpoint import Checkpoint, CheckpointStore, PeerTransferCache
-from .consequence import consequence_prediction
 from .controller import (
     CrystalBallConfig,
     CrystalBallController,

@@ -16,12 +16,11 @@ from typing import Optional, Sequence
 
 from ..mc.global_state import GlobalState
 from ..properties import SafetyProperty, check_all
-from ..mc.search import PredictedViolation, SearchBudget
+from ..mc.search import PredictedViolation, SearchBudget, consequence_prediction
 from ..mc.transition import TransitionSystem
 from ..runtime.address import Address
 from ..runtime.events import Event, MessageEvent, TimerEvent
 from ..runtime.simulator import FilterAction
-from .consequence import consequence_prediction
 from .event_filter import EventFilter, derive_filter
 
 

@@ -1,9 +1,10 @@
-"""Model-checking substrate: system model, baseline searches, properties.
+"""Model-checking substrate: system model, searches, properties.
 
-This package is the MaceMC stand-in: global states (Figure 4), the
-exhaustive breadth-first search of Figure 5, random walks, and the safety
-property framework.  The paper's own contribution — consequence prediction —
-lives in :mod:`repro.core` and is built on the same primitives.
+This package is the MaceMC stand-in: global states (Figure 4), random
+walks, the safety property framework, and the one breadth-first search
+(:mod:`repro.mc.search`) that runs both the exhaustive baseline of Figure 5
+and the paper's own contribution, consequence prediction (Figure 8), which
+:mod:`repro.core` exports beside the rest of the CrystalBall runtime.
 """
 
 from .global_state import ErrorNotification, GlobalState, NodeLocal
@@ -13,9 +14,14 @@ from ..properties.base import (
     check_all,
     node_property,
 )
-from .search import PredictedViolation, SearchBudget, SearchResult, SearchStats
+from .search import (
+    PredictedViolation,
+    SearchBudget,
+    SearchResult,
+    SearchStats,
+    find_errors,
+)
 from .transition import TransitionConfig, TransitionSystem
-from .exhaustive import find_errors
 from .falsify import (
     FalsificationEngine,
     FalsificationResult,

@@ -1,34 +1,25 @@
 """Search-engine abstraction: one interface over serial and parallel search.
 
-CrystalBall runs the same breadth-first exploration in three places — the
-exhaustive baseline of Figure 5, consequence prediction of Figure 8, and the
-filter-safety re-checks — but the seed implementation hard-wired each caller
-to a single-threaded function.  :class:`SearchEngine` decouples *what* is
-searched (a :class:`~repro.mc.transition.TransitionSystem`, a start state,
-properties, a budget) from *how* it is executed, so the controller, the
-benchmarks and the examples can switch between
-:class:`SerialEngine` and :class:`~repro.mc.parallel.sharded.ParallelEngine`
-via configuration without any behaviour change by default.
+CrystalBall runs one breadth-first exploration
+(:class:`~repro.mc.search.BreadthFirstSearch`) for the exhaustive baseline
+of Figure 5, consequence prediction of Figure 8 and the filter-safety
+re-checks.  :class:`SearchEngine` decouples *what* is searched (a
+:class:`~repro.mc.transition.TransitionSystem`, a start state, properties,
+a budget, a :class:`~repro.mc.search.SearchKind`) from *how* its steps are
+executed, so the controller, the benchmarks and the examples can switch
+between :class:`SerialEngine` and
+:class:`~repro.mc.parallel.sharded.ParallelEngine` via configuration
+without any behaviour change by default.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import Callable, Optional, Protocol, Sequence, Union, runtime_checkable
 
 from ..global_state import GlobalState
 from ..properties import SafetyProperty
-from ..search import SearchBudget, SearchResult
+from ..search import SearchBudget, SearchKind, SearchResult, breadth_first_search
 from ..transition import TransitionSystem
-
-
-class SearchKind(enum.Enum):
-    """Which successor-enumeration rule a search run uses."""
-
-    #: Figure 5: expand every enabled event of every visited state.
-    EXHAUSTIVE = "exhaustive"
-    #: Figure 8: expand internal actions only for unseen node-local states.
-    CONSEQUENCE = "consequence"
 
 
 @runtime_checkable
@@ -61,18 +52,8 @@ class SerialEngine:
         kind: SearchKind = SearchKind.EXHAUSTIVE,
         event_filter: Optional[Callable] = None,
     ) -> SearchResult:
-        if kind is SearchKind.CONSEQUENCE:
-            # Imported lazily: repro.core is built on repro.mc, so a
-            # module-level import here would be circular.
-            from ...core.consequence import consequence_prediction
-
-            return consequence_prediction(system, first_state, properties, budget,
-                                          event_filter=event_filter)
-        from ..exhaustive import find_errors
-
-        if event_filter is not None:
-            raise ValueError("event filters only apply to consequence prediction")
-        return find_errors(system, first_state, properties, budget)
+        return breadth_first_search(system, first_state, properties, budget,
+                                    kind=kind, event_filter=event_filter)
 
     def __repr__(self) -> str:
         return "SerialEngine()"

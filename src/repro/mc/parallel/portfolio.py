@@ -21,7 +21,15 @@ from typing import Callable, Optional, Sequence
 
 from ..global_state import GlobalState
 from ..properties import SafetyProperty
-from ..search import PredictedViolation, SearchBudget, SearchResult, SearchStats
+from ..random_walk import random_walk_search
+from ..search import (
+    PredictedViolation,
+    SearchBudget,
+    SearchResult,
+    SearchStats,
+    consequence_prediction,
+    find_errors,
+)
 from ..transition import TransitionSystem
 
 #: A named search strategy: (name, callable returning a SearchResult).
@@ -64,12 +72,7 @@ class PortfolioResult:
         controller consumes)."""
         stats = SearchStats()
         for result in self.results.values():
-            stats.states_visited += result.stats.states_visited
-            stats.states_enqueued += result.stats.states_enqueued
-            stats.transitions_applied += result.stats.transitions_applied
-            stats.duplicate_states += result.stats.duplicate_states
-            stats.max_depth_reached = max(stats.max_depth_reached,
-                                          result.stats.max_depth_reached)
+            stats.merge(result.stats)
         stats.elapsed_seconds = self.elapsed_seconds
         return SearchResult(violations=self.union_violations(), stats=stats,
                             start_state=start_state)
@@ -86,10 +89,6 @@ def default_strategies(
     seed: int = 0,
 ) -> list[Strategy]:
     """Exhaustive search + consequence prediction + ``walks`` random walks."""
-    from ...core.consequence import consequence_prediction
-    from ..exhaustive import find_errors
-    from ..random_walk import random_walk_search
-
     strategies: list[Strategy] = [
         ("exhaustive",
          lambda: find_errors(system, first_state, properties, budget)),

@@ -33,7 +33,7 @@ def random_walk_search(
     stats = SearchStats()
     rng = random.Random(seed)
     violations: list[PredictedViolation] = []
-    seen_violation_hashes: set[int] = set()
+    seen_violation_hashes: set[tuple[int, str]] = set()
 
     for _ in range(walks):
         if budget.exhausted(stats):

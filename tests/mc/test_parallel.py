@@ -109,6 +109,30 @@ def test_parallel_consequence_prediction_covers_serial():
     assert serial.stats.visited_hashes <= parallel.stats.visited_hashes
 
 
+def test_parallel_filtered_consequence_prediction_covers_serial():
+    """Workers apply the steering hook: with the Figure 2 filter the parallel
+    search covers the serial filtered run and, like it, no longer predicts
+    what the filter blocks."""
+    from test_search import FILTERED_DEPTH, figure2_steering_hook
+
+    system, start, properties, _ = _randtree_case()
+    hook = figure2_steering_hook(system, start, properties, FILTERED_DEPTH)
+    budget = SearchBudget(max_states=None, max_depth=FILTERED_DEPTH)
+    serial = SerialEngine().run(system, start, properties, budget,
+                                kind=SearchKind.CONSEQUENCE, event_filter=hook)
+    engine = ParallelEngine(num_workers=2)
+    unfiltered = engine.run(system, start, properties, budget,
+                            kind=SearchKind.CONSEQUENCE)
+    filtered = engine.run(system, start, properties, budget,
+                          kind=SearchKind.CONSEQUENCE, event_filter=hook)
+    assert _violation_keys(serial) <= _violation_keys(filtered)
+    assert _violation_keys(filtered) != _violation_keys(unfiltered)
+    blocked = ("randtree.children_siblings_disjoint",
+               randtree.Figure2Scenario.build().n9)
+    assert blocked in _violation_keys(unfiltered)
+    assert blocked not in _violation_keys(filtered)
+
+
 def test_parallel_respects_max_states_budget():
     system, start, properties, _ = _randtree_case()
     result = ParallelEngine(num_workers=2).run(
